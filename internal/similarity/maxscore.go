@@ -86,7 +86,6 @@ package similarity
 // selective workloads.
 
 import (
-	"container/heap"
 	"math"
 	"slices"
 	"sync"
@@ -229,8 +228,11 @@ func (cur *pruneCursor) seek(d int32) {
 	cur.pos = lo
 }
 
-// searchScratch holds the per-search allocations, pooled across queries.
+// searchScratch holds the per-search allocations, pooled across queries:
+// the resolved query, its binding to the current segment, the engine's
+// working arrays, and the per-segment and cross-segment heaps.
 type searchScratch struct {
+	q     query
 	qts   []uint64
 	curs  []pruneCursor
 	ord   []int32
@@ -242,6 +244,7 @@ type searchScratch struct {
 	dtail []float64
 	prime []int32
 	h     matchHeap
+	top   matchHeap
 }
 
 var scratchPool = sync.Pool{New: func() any { return &searchScratch{} }}
@@ -265,34 +268,35 @@ func deadBit(dead []uint64, d int32) bool {
 	return dead != nil && dead[d>>6]&(1<<(uint32(d)&63)) != 0
 }
 
-// searchTopK is the one scoring engine behind Best and TopK: exact top-k
-// matches, best first. mode selects the path (searchAuto decides by corpus
-// size); both paths return bit-identical results.
-func (c *Corpus) searchTopK(text string, k int, mode int) []Match {
-	return c.searchTopKDead(text, k, mode, nil)
-}
-
-// searchTopKDead is searchTopK with a tombstone bitmap: dead documents
-// never reach the heap AND never set the pruning threshold (a dead doc's
-// score raising theta could wrongly prune a live doc), so the result is
-// bit-identical to scoring a corpus that never contained them. dead may
-// be nil (no tombstones — the common case, zero overhead on the scan
-// loops beyond one predictable branch).
-func (c *Corpus) searchTopKDead(text string, k int, mode int, dead []uint64) []Match {
-	if k <= 0 || len(c.names) == 0 {
-		return nil
-	}
+// searchSegment is the per-segment scoring engine behind every Best and
+// TopK: the exact top-k matches of one segment, for a query already bound
+// to its dictionary (qts, qnorm — see query.bind). mode selects the path
+// (searchAuto decides by segment size); both paths return bit-identical
+// results. The matches come back as sc.h, an unordered heap carrying
+// segment-local doc ids.
+//
+// Tombstoned documents (dead, nil = none) never reach the heap AND never
+// set the pruning threshold (a dead doc's score raising theta could
+// wrongly prune a live doc), so the result is bit-identical to scoring a
+// segment that never contained them.
+//
+// floor is the k-th best score the earlier segments of the same query
+// produced (< 0 = none yet). It seeds the pruning threshold, deflated like
+// every threshold, so a document is skipped only when its bound is
+// STRICTLY below it: such a document can neither beat nor tie the k-th
+// best, whatever its global index. When even the whole segment's bound —
+// the smaller of Σ qw·tmax and the Cauchy–Schwarz bound over its terms
+// (see query.bound), inflated — is strictly below, the segment is skipped
+// without touching a posting.
+func (c *Corpus) searchSegment(sc *searchScratch, qts []uint64, qnorm float64, k, mode int, dead []uint64, floor float64, statsOn bool) matchHeap {
+	h := sc.h[:0]
 	if k > len(c.names) {
 		k = len(c.names)
 	}
-	sc := scratchPool.Get().(*searchScratch)
-	defer scratchPool.Put(sc)
-
-	qts, qnorm := c.resolveQuery(text, sc.qts)
-	sc.qts = qts[:0]
-	if qnorm == 0 {
-		return nil
+	if cap(h) < k {
+		h = make(matchHeap, 0, k)
 	}
+	sc.h = h
 
 	// Build cursors in canonical query order (qts is in the query's
 	// first-appearance order): the canonical evaluation order. Terms with
@@ -300,31 +304,42 @@ func (c *Corpus) searchTopKDead(text string, k int, mode int, dead []uint64) []M
 	// preserves the relative order, so per-document sums stay canonical.
 	curs := sc.curs[:0]
 	totalPostings := 0
+	bound, sq := 0.0, 0.0
 	for _, qt := range qts {
 		pl := &c.postings[qtermID(qt)]
 		if len(pl.docs) == 0 {
 			continue
 		}
-		qw := qtermW(qt)
-		curs = append(curs, pruneCursor{
-			docs: pl.docs, ws: pl.ws, bmax: pl.bmax,
-			qw: qw, ub: qw * pl.tmax,
-		})
+		curs = append(curs, pruneCursor{})
+		cur := &curs[len(curs)-1]
+		cur.docs, cur.ws, cur.bmax = pl.docs, pl.ws, pl.bmax
+		cur.qw = qtermW(qt)
+		cur.ub = cur.qw * pl.tmax
 		totalPostings += len(pl.docs)
+		bound += cur.ub
+		sq += cur.qw * cur.qw
 	}
 	sc.curs = curs
+	bound = min(bound, math.Sqrt(sq)) // Cauchy–Schwarz, see query.bound
 	n := len(curs)
-	if n == 0 {
-		return []Match{}
+	if n == 0 || k <= 0 {
+		return h
 	}
 
-	h := sc.h[:0]
-	if cap(h) < k {
-		h = make(matchHeap, 0, k)
+	// Slack factors: any bound is a sum of at most n products, so one
+	// multiplicative inflation covers its worst-case rounding deficit; the
+	// threshold is deflated symmetrically (it round-trips through a score
+	// division). See the package comment for why comparing differently-
+	// ordered float sums needs this.
+	slack := float64(n+32) * epsUlp
+	thetaAcc := -1.0
+	if floor >= 0 {
+		thetaAcc = floor * qnorm * (1 - slack)
 	}
-
+	if thetaAcc >= 0 && bound*(1+slack) < thetaAcc {
+		return h // not a search: counts in no PruneStats field
+	}
 	usePruned := mode == searchPruned || (mode == searchAuto && len(c.names) >= pruneMinDocs)
-	statsOn := pruneStatsOn.Load()
 	if statsOn {
 		pruneCounters.total.Add(uint64(totalPostings))
 		if usePruned {
@@ -338,33 +353,66 @@ func (c *Corpus) searchTopKDead(text string, k int, mode int, dead []uint64) []M
 	case !usePruned:
 		h = c.finishExhaustive(curs, -1, h, k, qnorm, statsOn, dead)
 	case k == 1:
-		h = c.searchPrunedBest(sc, totalPostings, h, qnorm, statsOn, dead)
+		h = c.searchPrunedBest(sc, totalPostings, h, qnorm, slack, thetaAcc, statsOn, dead)
 	default:
-		h = c.searchPrunedDAAT(sc, totalPostings, h, k, qnorm, statsOn, dead)
+		h = c.searchPrunedDAAT(sc, totalPostings, h, k, qnorm, slack, thetaAcc, statsOn, dead)
 	}
 	sc.h = h
-
-	out := make([]Match, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Match)
-	}
-	return out
+	return h
 }
 
 // pushMatch offers m to the bounded heap, returning true if the heap
-// changed (same keep/replace semantics the exhaustive TopK always had:
-// weakest-out, ties keep the lower index).
+// changed (weakest-out, ties keep the lower index).
 func pushMatch(h *matchHeap, k int, m Match) bool {
-	if len(*h) < k {
-		heap.Push(h, m)
+	s := *h
+	if len(s) < k {
+		s = append(s, m)
+		for i := len(s) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !matchWorse(s[i], s[p]) {
+				break
+			}
+			s[i], s[p] = s[p], s[i]
+			i = p
+		}
+		*h = s
 		return true
 	}
-	if matchWorse((*h)[0], m) {
-		(*h)[0] = m
-		heap.Fix(h, 0)
-		return true
+	if !matchWorse(s[0], m) {
+		return false
 	}
-	return false
+	s[0] = m
+	s.siftDown()
+	return true
+}
+
+// popMatch removes and returns the weakest kept match.
+func popMatch(h *matchHeap) Match {
+	s := *h
+	m := s[0]
+	s[0] = s[len(s)-1]
+	s = s[:len(s)-1]
+	s.siftDown()
+	*h = s
+	return m
+}
+
+// siftDown restores the heap property below the root.
+func (h matchHeap) siftDown() {
+	for i := 0; ; {
+		w := 2*i + 1
+		if w >= len(h) {
+			return
+		}
+		if r := w + 1; r < len(h) && matchWorse(h[r], h[w]) {
+			w = r
+		}
+		if !matchWorse(h[w], h[i]) {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
 }
 
 // canonicalTails fills sc.tail with tail[i] = inflated sum of upper
@@ -409,24 +457,46 @@ func evalCanonical(curs []pruneCursor, tail []float64, nDocs int, d int32, theta
 	return acc, false
 }
 
+// Threshold priming (see searchPrunedBest).
+const (
+	primeSelDF   = 4   // pointer lists: terms in almost no documents
+	primeBudget  = 4   // full evaluations spent on seeding
+	primeCollect = 512 // cap on pointer postings gathered
+)
+
+// hasPointer reports whether any sparse list is a pointer list (df <=
+// primeSelDF): a term in almost no document, which names the file a
+// near-duplicate was copied from.
+func hasPointer(curs []pruneCursor, nDocs int) bool {
+	for i := range curs {
+		if df := len(curs[i].docs); df <= primeSelDF && df != nDocs {
+			return true
+		}
+	}
+	return false
+}
+
 // searchPrunedBest is the k == 1 gather engine (see the package comment):
 // dense/sparse split, threshold priming, absorbed-prefix partition, one
 // streaming gather of the essential sparse postings, then bound → refine →
 // canonical evaluation per touched document. The size-1 heap makes every
 // push of an already-known document a no-op, which is what lets priming
 // and the exhaustive fallbacks re-score documents freely.
-func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchHeap, qnorm float64, statsOn bool, dead []uint64) matchHeap {
+func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchHeap, qnorm, slack, thetaAcc float64, statsOn bool, dead []uint64) matchHeap {
 	curs := sc.curs
 	n := len(curs)
 	nDocs := len(c.names)
-
-	// Slack factors: any bound is a sum of at most n products, so one
-	// multiplicative inflation covers its worst-case rounding deficit;
-	// the threshold is deflated symmetrically (it round-trips through a
-	// score division). See the package comment for why comparing
-	// differently-ordered float sums needs this.
-	slack := float64(n+32) * epsUlp
 	inflate := 1 + slack
+	if !hasPointer(curs, nDocs) {
+		// Nothing to prime the threshold with: a fresh candidate rather
+		// than a copy. Such a search does not prune in practice — the
+		// threshold stays below the keyword mass every document carries —
+		// so answer it with the accumulator before paying for the setup.
+		if statsOn {
+			pruneCounters.bailouts.Add(1)
+		}
+		return c.finishExhaustive(curs, -1, h, 1, qnorm, statsOn, dead)
+	}
 	deflate := 1 - slack
 
 	// Dense/sparse split: dense lists fold into one shared per-document-
@@ -502,8 +572,8 @@ func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchH
 	// proportional to theta itself — necessary because a candidate's
 	// partial sums can fall short of its final accumulated value by
 	// rounding error that scales with the total, not with the (possibly
-	// tiny) remaining tail bound. <0 means no threshold yet.
-	thetaAcc := -1.0
+	// tiny) remaining tail bound. <0 means no threshold yet; the caller
+	// seeds it from earlier segments' best.
 	updateTheta := func() {
 		if len(h) == 1 {
 			if t := h[0].Score * qnorm * deflate; t > thetaAcc {
@@ -551,18 +621,10 @@ func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchH
 	// partition is drawn, and completeness never depends on a primed
 	// document being re-surfaced.
 	// Prime candidates are elected by vote: gather the postings of the
-	// nearly-unique "pointer" lists (df <= primeSelDF — a near-dup query
-	// has ~one such term per copied line, all naming the same file) and
-	// score the documents they name most often. When no pointer lists
-	// exist, fall back to seeding from the most selective high-impact
-	// lists, which at worst wastes primeBudget evaluations.
-	if n > 1 {
-		const (
-			primeSelDF   = 4   // pointer lists: terms in almost no documents
-			primeWideDF  = 128 // fallback seeding pool
-			primeBudget  = 4   // full evaluations spent on seeding
-			primeCollect = 512 // cap on pointer postings gathered
-		)
+	// pointer lists (see hasPointer — a near-dup query has ~one such term
+	// per copied line, all naming the same file) and score the documents
+	// they name most often.
+	{
 		collect := sc.prime[:0]
 		for oi := len(ord) - 1; oi >= 0 && len(collect) < primeCollect; oi-- {
 			cur := &curs[ord[oi]]
@@ -574,64 +636,36 @@ func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchH
 		var primeDocs [primeBudget]int32
 		var cnts [primeBudget]int
 		nPrime := 0
-		if len(collect) > 0 {
-			slices.Sort(collect)
-			// Keep the primeBudget docs with the longest runs (= named by
-			// the most pointer terms). Replacement is strict-greater, and
-			// runs arrive in ascending doc order, so ties keep lower ids —
-			// deterministic.
-			for i := 0; i < len(collect); {
-				j := i + 1
-				for j < len(collect) && collect[j] == collect[i] {
-					j++
-				}
-				run := j - i
-				if deadBit(dead, collect[i]) {
-					i = j // tombstoned doc: must not seed the threshold
-					continue
-				}
-				if nPrime < primeBudget {
-					primeDocs[nPrime], cnts[nPrime] = collect[i], run
-					nPrime++
-				} else {
-					mi := 0
-					for s := 1; s < primeBudget; s++ {
-						if cnts[s] < cnts[mi] {
-							mi = s
-						}
-					}
-					if run > cnts[mi] {
-						primeDocs[mi], cnts[mi] = collect[i], run
-					}
-				}
-				i = j
+		slices.Sort(collect)
+		// Keep the primeBudget docs with the longest runs (= named by the
+		// most pointer terms). Replacement is strict-greater, and runs
+		// arrive in ascending doc order, so ties keep lower ids —
+		// deterministic.
+		for i := 0; i < len(collect); {
+			j := i + 1
+			for j < len(collect) && collect[j] == collect[i] {
+				j++
 			}
-		} else {
-			for oi := len(ord) - 1; oi >= 0 && nPrime < primeBudget; oi-- {
-				cur := &curs[ord[oi]]
-				if len(cur.docs) > primeWideDF {
-					continue
+			run := j - i
+			if deadBit(dead, collect[i]) {
+				i = j // tombstoned doc: must not seed the threshold
+				continue
+			}
+			if nPrime < primeBudget {
+				primeDocs[nPrime], cnts[nPrime] = collect[i], run
+				nPrime++
+			} else {
+				mi := 0
+				for s := 1; s < primeBudget; s++ {
+					if cnts[s] < cnts[mi] {
+						mi = s
+					}
 				}
-				for _, d := range cur.docs {
-					if nPrime >= primeBudget {
-						break
-					}
-					if deadBit(dead, d) {
-						continue
-					}
-					dup := false
-					for _, p := range primeDocs[:nPrime] {
-						if p == d {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						primeDocs[nPrime] = d
-						nPrime++
-					}
+				if run > cnts[mi] {
+					primeDocs[mi], cnts[mi] = collect[i], run
 				}
 			}
+			i = j
 		}
 		// Best guess first (descending vote count, ties by lower doc id):
 		// the leader alone decides whether pruning is viable, so the
@@ -798,11 +832,9 @@ func (c *Corpus) searchPrunedBest(sc *searchScratch, totalPostings int, h matchH
 // essential reads, and canonical full evaluation for survivors. It bails
 // to the exhaustive accumulator for the remaining document range when
 // pruning is not paying.
-func (c *Corpus) searchPrunedDAAT(sc *searchScratch, totalPostings int, h matchHeap, k int, qnorm float64, statsOn bool, dead []uint64) matchHeap {
+func (c *Corpus) searchPrunedDAAT(sc *searchScratch, totalPostings int, h matchHeap, k int, qnorm, slack, thetaAcc float64, statsOn bool, dead []uint64) matchHeap {
 	curs := sc.curs
 	n := len(curs)
-
-	slack := float64(n+32) * epsUlp
 	inflate := 1 + slack
 	deflate := 1 - slack
 
@@ -831,7 +863,6 @@ func (c *Corpus) searchPrunedDAAT(sc *searchScratch, totalPostings int, h matchH
 	lastDoc := int32(-1)
 
 	// thetaAcc: the k-th best dot product, deflated (see searchPrunedBest).
-	thetaAcc := -1.0
 	updateTheta := func() {
 		if len(h) == k {
 			if t := h[0].Score * qnorm * deflate; t > thetaAcc {
@@ -1059,7 +1090,9 @@ func (c *Corpus) finishExhaustive(curs []pruneCursor, from int32, h matchHeap, k
 	var visited uint64
 	for i := 0; i < len(curs); {
 		cur := &curs[i]
-		cur.seek(from + 1)
+		if from >= 0 {
+			cur.seek(from + 1)
+		}
 		if len(cur.docs) != nDocs {
 			docs, ws, qw := cur.docs[cur.pos:], cur.ws[cur.pos:], cur.qw
 			visited += uint64(len(docs))
@@ -1077,7 +1110,9 @@ func (c *Corpus) finishExhaustive(curs []pruneCursor, from int32, h matchHeap, k
 		// bit-identical to the one-list-at-a-time walk.
 		run := i + 1
 		for run < len(curs) && len(curs[run].docs) == nDocs {
-			curs[run].seek(from + 1)
+			if from >= 0 {
+				curs[run].seek(from + 1)
+			}
 			run++
 		}
 		a := acc[start:]

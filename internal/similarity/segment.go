@@ -11,7 +11,7 @@ package similarity
 //
 // Scoring stays bit-identical to a single-segment full rebuild because
 // the canonical accumulation order is a property of the query alone (the
-// query's first-appearance term order — see resolveQuery): a document's
+// query's first-appearance term order — see query): a document's
 // dot product sums the same float64s in the same sequence no matter which
 // dictionary its postings live under.
 

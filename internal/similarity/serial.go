@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"sort"
 )
 
 // Segment serialization: the sealed index structure — names, the unigram
@@ -93,43 +92,43 @@ func (g *Segment) EncodeSections() [][]byte {
 		names = append(names, n...)
 	}
 
-	// Section 1: unigram dictionary, in postings-id order for determinism.
-	type termEntry struct {
-		term string
-		id   int32
-	}
-	terms := make([]termEntry, 0, len(c.termIDs))
+	// Sections 1 and 2: the unigram dictionary and the bigram dictionary
+	// (unigram-id pair -> postings id), both in postings-id order for
+	// determinism. Recovering them as id-indexed arrays, as MergeSegments
+	// does, yields that order with one walk instead of two sorts.
+	// DecodeSegment guarantees no postings id is claimed twice.
+	terms := make([]string, len(c.postings))
+	pairs := make([]uint64, len(c.postings))
+	kind := make([]byte, len(c.postings)) // 0 = no entry, 1 = unigram, 2 = bigram
+	uniLen := 4
 	for t, id := range c.termIDs {
-		terms = append(terms, termEntry{t, id})
+		terms[id], kind[id] = t, 1
+		uniLen += 8 + len(t)
 	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].id < terms[j].id })
-	uni := appendU32(nil, uint32(len(terms)))
-	for _, e := range terms {
-		uni = appendU32(uni, uint32(e.id))
-		uni = appendU32(uni, uint32(len(e.term)))
-		uni = append(uni, e.term...)
-	}
-
-	// Section 2: bigram dictionary (unigram-id pair -> postings id), in
-	// postings-id order.
-	type pairEntry struct {
-		key uint64
-		id  int32
-	}
-	pairs := make([]pairEntry, 0, len(c.pairIDs))
 	for k, id := range c.pairIDs {
-		pairs = append(pairs, pairEntry{k, id})
+		pairs[id], kind[id] = k, 2
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-	bi := appendU32(nil, uint32(len(pairs)))
-	for _, e := range pairs {
-		bi = appendU64(bi, e.key)
-		bi = appendU32(bi, uint32(e.id))
+	uni := appendU32(make([]byte, 0, uniLen), uint32(len(c.termIDs)))
+	bi := appendU32(make([]byte, 0, 4+12*len(c.pairIDs)), uint32(len(c.pairIDs)))
+	for id, k := range kind {
+		switch k {
+		case 1:
+			uni = appendU32(uni, uint32(id))
+			uni = appendU32(uni, uint32(len(terms[id])))
+			uni = append(uni, terms[id]...)
+		case 2:
+			bi = appendU64(bi, pairs[id])
+			bi = appendU32(bi, uint32(id))
+		}
 	}
 
 	// Section 3: postings lists — parallel doc/weight arrays, weights as
 	// raw IEEE-754 bits so scoring after a reload is bit-identical.
-	post := appendU32(nil, uint32(len(c.postings)))
+	postLen := 4
+	for i := range c.postings {
+		postLen += 4 + 12*len(c.postings[i].docs)
+	}
+	post := appendU32(make([]byte, 0, postLen), uint32(len(c.postings)))
 	for i := range c.postings {
 		pl := &c.postings[i]
 		post = appendU32(post, uint32(len(pl.docs)))
@@ -233,6 +232,18 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 		return nil, ErrCorruptSnapshot
 	}
 
+	// Dictionaries. Every postings id belongs to at most one entry across
+	// both: the builder and merge assign each id once, and the encoder
+	// relies on it.
+	claimed := make([]bool, nPost)
+	claim := func(id int32) bool {
+		if int(id) < 0 || int(id) >= nPost || claimed[id] {
+			return false
+		}
+		claimed[id] = true
+		return true
+	}
+
 	// Unigram dictionary.
 	r = &reader{b: sections[1]}
 	nTerms := int(r.u32())
@@ -242,7 +253,7 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	for i := 0; i < nTerms; i++ {
 		id := int32(r.u32())
 		term := string(r.bytes(int(r.u32())))
-		if r.err || int(id) < 0 || int(id) >= nPost {
+		if r.err || !claim(id) {
 			return nil, ErrCorruptSnapshot
 		}
 		if _, dup := c.termIDs[term]; dup {
@@ -263,7 +274,7 @@ func DecodeSegment(sections [][]byte) (*Segment, error) {
 	for i := 0; i < nPairs; i++ {
 		key := r.u64()
 		id := int32(r.u32())
-		if r.err || int(id) < 0 || int(id) >= nPost {
+		if r.err || !claim(id) {
 			return nil, ErrCorruptSnapshot
 		}
 		if _, dup := c.pairIDs[key]; dup {

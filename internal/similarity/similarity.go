@@ -13,9 +13,9 @@
 package similarity
 
 import (
+	"hash/maphash"
 	"math"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"freehw/internal/par"
@@ -354,23 +354,24 @@ type Match struct {
 	Score float64
 }
 
-// unknownBase is the first effective id assigned to query tokens absent
-// from the corpus dictionary (corpus ids are int32, so they stay below).
+// unknownBase is the first effective id a query term absent from a
+// segment's dictionary receives in the capped-norm computation (corpus
+// ids are int32, so they stay below).
 const unknownBase = uint64(1) << 31
 
-// maxUnknownIDs caps how many distinct unknown query tokens receive their
-// own effective id. Unigram effective ids must stay strictly below 2^32-1
-// or a bigram occurrence key (prev+1)<<32|e would overflow into — or wrap
-// past — the bigram key range and collide with unrelated terms. Tokens
-// beyond the cap share one overflow id: for such degenerate queries
-// (billions of distinct unknown tokens) the query norm merges their
-// counts, which can only lower reported scores, never corrupt the key
-// space. A variable, not a const, so tests can lower it.
+// maxUnknownIDs caps how many distinct query terms unknown to a segment
+// receive their own effective id. Unigram effective ids must stay strictly
+// below 2^32-1 or a bigram key (prev+1)<<32|e would overflow into — or
+// wrap past — the bigram key range and collide with unrelated terms.
+// Terms beyond the cap share one overflow id: for such degenerate queries
+// (billions of distinct unknown terms) the query norm merges their counts,
+// which can only lower reported scores, never corrupt the key space. A
+// variable, not a const, so tests can lower it.
 var maxUnknownIDs = uint64(1) << 30
 
-// A resolved query term packs a postings id (upper 32 bits) and its
-// integer query count (lower 32 bits) into one uint64 — one word per term,
-// no interface or closure per comparison.
+// A bound query term packs a postings id (upper 32 bits) and its integer
+// query count (lower 32 bits) into one uint64 — one word per term, no
+// interface or closure per comparison.
 func qtermID(qt uint64) int32  { return int32(qt >> 32) }
 func qtermW(qt uint64) float64 { return float64(uint32(qt)) }
 
@@ -387,238 +388,327 @@ func packQterm(id int32, w float64) uint64 {
 	return uint64(uint32(id))<<32 | uint64(uint32(w))
 }
 
-// qtab is a reusable open-addressed hash table counting query term keys
-// (effective unigram ids and packed bigram occurrence keys). It replaces
-// the PR 5 emit-sort-and-run-length scheme: counting ~2 tokens' worth of
-// keys per token through a small linear-probe table is cheaper than
-// sorting every occurrence, and only the distinct terms — typically a
-// fraction of the occurrences — reach the final canonical sort. used
-// records occupied slots in first-insertion order, so iteration is
-// deterministic for a given query; nothing observable depends on table
-// capacity.
-type qtab struct {
+// pairTab is a reusable open-addressed table from a query's bigram keys
+// to their positions in query.keys. used lists the occupied slots, so a
+// reset costs the query's distinct bigrams, not the table's capacity.
+type pairTab struct {
 	keys []uint64
-	cnts []uint32
+	pos  []int32 // position + 1 (0 = empty)
 	used []int32
-	low  []byte // scratch for lowercasing word tokens without allocating
 }
 
-func newQtab(capPow2 int) *qtab {
-	return &qtab{keys: make([]uint64, capPow2), cnts: make([]uint32, capPow2), used: make([]int32, 0, capPow2/2)}
-}
-
-// bump increments key k's count, saturating at the packed-count ceiling
-// instead of wrapping.
-func (t *qtab) bump(k uint64) {
+// find returns k's position, entering it at position next on first sight
+// (fresh reports that).
+func (t *pairTab) find(k uint64, next int32) (pos int32, fresh bool) {
 	if len(t.used)*2 >= len(t.keys) {
 		t.grow()
 	}
 	mask := uint64(len(t.keys) - 1)
-	slot := (k * 0x9e3779b97f4a7c15) >> 32 & mask
-	for {
-		if t.cnts[slot] == 0 {
-			t.keys[slot] = k
-			t.cnts[slot] = 1
-			t.used = append(t.used, int32(slot))
-			return
+	for i := (k * 0x9e3779b97f4a7c15) >> 32 & mask; ; i = (i + 1) & mask {
+		if t.pos[i] == 0 {
+			t.keys[i], t.pos[i] = k, next+1
+			t.used = append(t.used, int32(i))
+			return next, true
 		}
-		if t.keys[slot] == k {
-			if t.cnts[slot] != ^uint32(0) {
-				t.cnts[slot]++
-			}
-			return
+		if t.keys[i] == k {
+			return t.pos[i] - 1, false
 		}
-		slot = (slot + 1) & mask
 	}
 }
 
-// grow doubles capacity, preserving insertion order in used.
-func (t *qtab) grow() {
-	oldKeys, oldCnts, oldUsed := t.keys, t.cnts, t.used
-	t.keys = make([]uint64, 2*len(oldKeys))
-	t.cnts = make([]uint32, len(t.keys))
-	t.used = make([]int32, 0, len(t.keys)/2)
+// grow doubles the table (1024 slots to start).
+func (t *pairTab) grow() {
+	oldKeys, oldPos := t.keys, t.pos
+	t.keys = make([]uint64, max(1024, 2*len(oldKeys)))
+	t.pos = make([]int32, len(t.keys))
 	mask := uint64(len(t.keys) - 1)
-	for _, s := range oldUsed {
+	for j, s := range t.used {
 		k := oldKeys[s]
-		slot := (k * 0x9e3779b97f4a7c15) >> 32 & mask
-		for t.cnts[slot] != 0 {
-			slot = (slot + 1) & mask
+		i := (k * 0x9e3779b97f4a7c15) >> 32 & mask
+		for t.pos[i] != 0 {
+			i = (i + 1) & mask
 		}
-		t.keys[slot] = k
-		t.cnts[slot] = oldCnts[s]
-		t.used = append(t.used, int32(slot))
+		t.keys[i], t.pos[i] = k, oldPos[s]
+		t.used[j] = int32(i)
 	}
 }
 
-// reset clears counts for reuse without touching capacity.
-func (t *qtab) reset() {
+func (t *pairTab) reset() {
 	for _, s := range t.used {
-		t.cnts[s] = 0
+		t.pos[s] = 0
 	}
 	t.used = t.used[:0]
 }
 
-var qtabPool = sync.Pool{New: func() any { return newQtab(1024) }}
+// termSeed keys the query-local term table's hash.
+var termSeed = maphash.MakeSeed()
 
-// unknownPool recycles the query-local unknown-token intern maps: clear()
-// keeps the buckets, so steady-state queries with out-of-dictionary
-// identifiers (every fresh candidate) stop paying a map allocation each.
-var unknownPool = sync.Pool{New: func() any { return make(map[string]uint64) }}
+// query is a query text resolved once, independent of any dictionary: its
+// distinct unigram terms in first-appearance order, and its distinct
+// unigram and bigram keys with their counts, also in first-appearance
+// order. That order is the canonical accumulation order every scoring
+// path shares — a property of the QUERY alone, not of the dictionary it
+// binds to — so a document's dot product sums the same float64s in the
+// same sequence whether its postings live in one big corpus or in a small
+// segment. That is what keeps segmented scoring (see Snapshot) bit-
+// identical to a single-segment full rebuild, and what lets a snapshot of
+// many segments tokenize and count each query exactly once: binding to a
+// segment (bind) costs one dictionary lookup per distinct term.
+type query struct {
+	arena []byte   // distinct unigram terms, lowered, back to back
+	ends  []int    // term l is arena[ends[l-1]:ends[l]] (from 0 for l == 0)
+	keys  []uint64 // unigram l is key l; bigram (a, b) is key (a+1)<<32 | b
+	cnts  []uint32 // saturating occurrence counts, parallel to keys
+	norm  float64  // over every key, whether a segment knows it or not
+	uslot []int32  // unigram l -> position of its key in keys
 
-// resolveQuery streams a query's tokens and resolves them against the
-// index in one pass: the returned terms are the query's corpus-known
-// unigrams and bigrams with their counts, in the query's first-appearance
-// order — the canonical accumulation order every scoring path shares,
-// which is what keeps Best, TopK, and BestBatch byte-identical to each
-// other. Crucially that order is a property of the QUERY alone, not of
-// the dictionary it resolved against: a document's contributions sum in
-// the same sequence whether its postings live in one big corpus or in a
-// small segment, which is what keeps segmented scoring (see Snapshot)
-// bit-identical to a single-segment full rebuild. qnorm is
-// the norm over ALL query terms, corpus-known or not. A token the corpus
-// has never seen cannot appear in any corpus bigram either, so its
-// bigrams are skipped without a lookup. qts reuses buf's capacity when it
-// fits, so a pooled caller pays no per-query slice allocation.
-func (c *Corpus) resolveQuery(text string, buf []uint64) (qts []uint64, qnorm float64) {
-	// Count one key per unigram and bigram occurrence. Unigram keys are
-	// the effective id (< 2^32, dictionary id or interned unknown), bigram
-	// keys pack the pair shifted into the upper half (>= 2^32) — the
-	// unknown-id cap guarantees prev+1 < 2^32, so the two ranges cannot
-	// collide.
-	tab := qtabPool.Get().(*qtab)
-	var unknown map[string]uint64
-	defer func() {
-		tab.reset()
-		qtabPool.Put(tab)
-		if unknown != nil {
-			clear(unknown)
-			unknownPool.Put(unknown)
-		}
-	}()
-	// newUnknown interns a distinct out-of-dictionary token under a fresh
-	// local id. Keys may alias the query text or copy scratch — the
-	// deferred clear() drops every entry before the map returns to the
-	// pool, so nothing outlives the call.
-	newUnknown := func(key string) uint64 {
-		lid := unknownBase + uint64(len(unknown))
-		if lid >= unknownBase+maxUnknownIDs {
-			lid = unknownBase + maxUnknownIDs // shared overflow id
-		}
-		unknown[key] = lid
-		return lid
+	pairs  pairTab    // bigram key -> position in keys
+	byByte [256]int32 // single-byte term -> l+1 (0 = unseen)
+	byTerm []int32    // open-addressed multi-byte term table: l+1 (0 = empty)
+	slots  []int32    // occupied byTerm slots, for reset
+	ids    []int32    // bind scratch: term l -> segment postings id (-1 = absent)
+}
+
+func (q *query) term(l int32) []byte {
+	lo := 0
+	if l > 0 {
+		lo = q.ends[l-1]
 	}
-	prev, seen := uint64(0), false
+	return q.arena[lo:q.ends[l]]
+}
+
+// newTerm closes the term whose bytes end the arena and returns its id.
+func (q *query) newTerm() int32 {
+	q.ends = append(q.ends, len(q.arena))
+	return int32(len(q.ends) - 1)
+}
+
+// intern returns the id of the multi-byte term just appended at
+// arena[start:], keeping it as a new term on first sight and dropping the
+// copy otherwise.
+func (q *query) intern(start int) int32 {
+	if len(q.slots)*2 >= len(q.byTerm) {
+		q.growTerms()
+	}
+	t := q.arena[start:]
+	mask := uint64(len(q.byTerm) - 1)
+	for i := maphash.Bytes(termSeed, t) & mask; ; i = (i + 1) & mask {
+		v := q.byTerm[i]
+		if v == 0 {
+			l := q.newTerm()
+			q.byTerm[i] = l + 1
+			q.slots = append(q.slots, int32(i))
+			return l
+		}
+		if string(q.term(v-1)) == string(t) {
+			q.arena = q.arena[:start]
+			return v - 1
+		}
+	}
+}
+
+// growTerms doubles the term table (1024 slots to start).
+func (q *query) growTerms() {
+	old := q.byTerm
+	q.byTerm = make([]int32, max(1024, 2*len(old)))
+	mask := uint64(len(q.byTerm) - 1)
+	for j, s := range q.slots {
+		v := old[s]
+		i := maphash.Bytes(termSeed, q.term(v-1)) & mask
+		for q.byTerm[i] != 0 {
+			i = (i + 1) & mask
+		}
+		q.byTerm[i] = v
+		q.slots[j] = int32(i)
+	}
+}
+
+// resolve tokenizes and counts text into q, replacing whatever q held.
+// Word tokens are lowered into the arena as they are copied, so no token
+// allocates; a repeated token's copy is dropped again by intern.
+func (q *query) resolve(text string) {
+	q.arena, q.ends, q.keys, q.cnts, q.uslot = q.arena[:0], q.ends[:0], q.keys[:0], q.cnts[:0], q.uslot[:0]
+	clear(q.byByte[:])
+	for _, s := range q.slots {
+		q.byTerm[s] = 0
+	}
+	q.slots = q.slots[:0]
+	q.pairs.reset()
+	// count bumps the key at position i, saturating at the packed-count
+	// ceiling instead of wrapping.
+	count := func(i int32) {
+		if q.cnts[i] != ^uint32(0) {
+			q.cnts[i]++
+		}
+	}
+	prev := int32(-1)
 	tokensRaw(text, func(t string, hasUpper bool) {
-		var e uint64
-		if len(t) == 1 && c.byteIDs != nil {
+		var l int32
+		if len(t) == 1 {
 			ch := t[0]
 			if hasUpper {
 				ch += 'a' - 'A' // a 1-byte token with upper IS a single A-Z letter
 			}
-			if id := c.byteIDs[ch]; id >= 0 {
-				e = uint64(id)
-				tab.bump(e)
-				if seen {
-					tab.bump((prev+1)<<32 | e)
-				}
-				prev, seen = e, true
-				return
+			if l = q.byByte[ch] - 1; l < 0 {
+				q.arena = append(q.arena, ch)
+				l = q.newTerm()
+				q.byByte[ch] = l + 1
 			}
-			// Out-of-dictionary single byte: rare — fall through to the
-			// generic unknown-token path below.
-		}
-		if hasUpper {
-			// Lower into scratch: both map probes below compile to
-			// allocation-free lookups; only a distinct unknown token pays a
-			// string copy when it is interned.
-			b := tab.low[:0]
-			for i := 0; i < len(t); i++ {
-				ch := t[i]
-				if ch >= 'A' && ch <= 'Z' {
-					ch += 'a' - 'A'
-				}
-				b = append(b, ch)
-			}
-			tab.low = b
-			if id, ok := c.termIDs[string(b)]; ok {
-				e = uint64(id)
-			} else {
-				if unknown == nil {
-					unknown = unknownPool.Get().(map[string]uint64)
-				}
-				lid, have := unknown[string(b)]
-				if !have {
-					lid = newUnknown(string(b))
-				}
-				e = lid
-			}
-		} else if id, ok := c.termIDs[t]; ok {
-			e = uint64(id)
 		} else {
-			if unknown == nil {
-				unknown = unknownPool.Get().(map[string]uint64)
-			}
-			lid, have := unknown[t]
-			if !have {
-				lid = newUnknown(t)
-			}
-			e = lid
-		}
-		tab.bump(e)
-		if seen {
-			tab.bump((prev+1)<<32 | e)
-		}
-		prev, seen = e, true
-	})
-	if !seen {
-		return nil, 0
-	}
-	var sum float64
-	qts = buf[:0]
-	if cap(qts) < len(tab.used) {
-		qts = make([]uint64, 0, len(tab.used))
-	}
-	for _, slot := range tab.used {
-		k, v := tab.keys[slot], float64(tab.cnts[slot])
-		sum += v * v // integer counts: exact in any order
-		switch {
-		case k < unknownBase: // corpus-known unigram
-			qts = append(qts, packQterm(int32(k), v))
-		case k < 1<<32: // unknown unigram
-		default: // bigram
-			a, b := (k>>32)-1, k&0xffffffff
-			if a < unknownBase && b < unknownBase {
-				if id, ok := c.pairIDs[a<<32|b]; ok {
-					qts = append(qts, packQterm(id, v))
+			start := len(q.arena)
+			if hasUpper {
+				for i := 0; i < len(t); i++ {
+					ch := t[i]
+					if ch >= 'A' && ch <= 'Z' {
+						ch += 'a' - 'A'
+					}
+					q.arena = append(q.arena, ch)
 				}
+			} else {
+				q.arena = append(q.arena, t...)
+			}
+			l = q.intern(start)
+		}
+		// Unigram l's key is l itself, entered when the term is new.
+		if int(l) == len(q.uslot) {
+			q.uslot = append(q.uslot, int32(len(q.keys)))
+			q.keys = append(q.keys, uint64(l))
+			q.cnts = append(q.cnts, 1)
+		} else {
+			count(q.uslot[l])
+		}
+		if prev >= 0 {
+			k := uint64(prev+1)<<32 | uint64(l)
+			if i, fresh := q.pairs.find(k, int32(len(q.keys))); fresh {
+				q.keys = append(q.keys, k)
+				q.cnts = append(q.cnts, 1)
+			} else {
+				count(i)
 			}
 		}
+		prev = l
+	})
+	var sum float64
+	for _, v := range q.cnts {
+		sum += float64(v) * float64(v) // integer counts: exact in any order
 	}
-	return qts, math.Sqrt(sum)
+	q.norm = math.Sqrt(sum)
 }
 
-// score accumulates per-document dot products for the query's terms, in
-// canonical query order. Only documents sharing at least one term
-// with the query are touched; the returned accumulator holds
-// dot(query, doc)/norm(doc), so dividing by the query norm yields cosine.
-// qnorm is 0 for empty queries.
-func (c *Corpus) score(text string) (acc []float64, qnorm float64) {
-	qts, qnorm := c.resolveQuery(text, nil)
-	if qnorm == 0 || len(c.names) == 0 {
-		return nil, qnorm
+// bind looks q's distinct terms up in one segment's dictionary, filling
+// q.ids, and returns the query norm to score that segment with — the norm
+// over ALL query terms, known to the segment or not (see cappedNorm for
+// the one exception). known reports whether the segment knows any term;
+// when it does not, no document in it can match.
+func (q *query) bind(c *Corpus) (qnorm float64, known bool) {
+	ids := q.ids[:0]
+	var unknown uint64
+	for l := range q.ends {
+		t := q.term(int32(l))
+		id := int32(-1)
+		if len(t) == 1 && c.byteIDs != nil {
+			id = c.byteIDs[t[0]]
+		} else if v, ok := c.termIDs[string(t)]; ok {
+			id = v
+		}
+		if id < 0 {
+			unknown++
+		}
+		ids = append(ids, id)
 	}
-	acc = make([]float64, len(c.names))
-	for _, qt := range qts {
-		w := qtermW(qt)
-		pl := &c.postings[qtermID(qt)]
-		docs := pl.docs
-		ws := pl.ws[:len(docs)] // one bound, checks eliminated below
-		for k, doc := range docs {
-			acc[doc] += w * ws[k]
+	q.ids = ids
+	qnorm = q.norm
+	if unknown > maxUnknownIDs {
+		qnorm = q.cappedNorm()
+	}
+	return qnorm, unknown < uint64(len(ids))
+}
+
+// bound returns an upper bound on any document's dot product with the
+// query in the segment bind last looked at, and the number of products
+// behind it, from the binding alone — no bigram lookup, no postings read.
+// A document's weights are unit-normalized, so by Cauchy–Schwarz its dot
+// product is at most the norm of the query's counts over the keys the
+// segment may hold: the unigrams it knows and the bigrams of two known
+// unigrams. Near-duplicate audits carry identifiers no other segment
+// knows, which puts this bound below their threshold in most segments.
+func (q *query) bound() (ub float64, terms int) {
+	ids := q.ids
+	var sq float64
+	for i, k := range q.keys {
+		if k < 1<<32 {
+			if ids[k] < 0 {
+				continue
+			}
+		} else if ids[k>>32-1] < 0 || ids[k&0xffffffff] < 0 {
+			continue
+		}
+		w := float64(q.cnts[i])
+		sq += w * w
+		terms++
+	}
+	return math.Sqrt(sq), terms
+}
+
+// qterms returns the query terms the segment bind last looked at holds,
+// packed with their counts, in canonical order. A term the segment has
+// never seen cannot appear in any of its bigrams either, so such bigrams
+// are skipped without a lookup. qts reuses buf's capacity.
+func (q *query) qterms(c *Corpus, buf []uint64) []uint64 {
+	ids := q.ids
+	qts := buf[:0]
+	for i, k := range q.keys {
+		if k < 1<<32 {
+			if id := ids[k]; id >= 0 {
+				qts = append(qts, packQterm(id, float64(q.cnts[i])))
+			}
+			continue
+		}
+		a, b := ids[k>>32-1], ids[k&0xffffffff]
+		if a >= 0 && b >= 0 {
+			if id, ok := c.pairIDs[pairKey(a, b)]; ok {
+				qts = append(qts, packQterm(id, float64(q.cnts[i])))
+			}
 		}
 	}
-	return acc, qnorm
+	return qts
+}
+
+// cappedNorm is the query norm when more than maxUnknownIDs terms are
+// unknown to the bound segment: unknown terms past the cap share one
+// overflow id, so their unigram keys — and the bigram keys they form —
+// merge counts before squaring. Uses the ids bind just filled.
+func (q *query) cappedNorm() float64 {
+	eff := make([]uint64, len(q.ids))
+	var rank uint64
+	for l, id := range q.ids {
+		if id >= 0 {
+			eff[l] = uint64(id)
+			continue
+		}
+		eff[l] = unknownBase + min(rank, maxUnknownIDs)
+		rank++
+	}
+	merged := make(map[uint64]uint64, len(q.keys))
+	var order []uint64
+	for i, k := range q.keys {
+		var e uint64
+		if k < 1<<32 {
+			e = eff[k]
+		} else {
+			e = (eff[k>>32-1]+1)<<32 | eff[k&0xffffffff]
+		}
+		if _, ok := merged[e]; !ok {
+			order = append(order, e)
+		}
+		merged[e] = min(merged[e]+uint64(q.cnts[i]), 1<<32-1)
+	}
+	var sum float64
+	for _, e := range order {
+		v := float64(merged[e])
+		sum += v * v
+	}
+	return math.Sqrt(sum)
 }
 
 // Best returns the closest corpus document to the query text, or
@@ -641,20 +731,9 @@ func matchWorse(a, b Match) bool {
 	return a.Index > b.Index
 }
 
-// matchHeap is a bounded min-heap whose root is the weakest kept match.
+// matchHeap is a bounded min-heap whose root is the weakest kept match
+// (see pushMatch).
 type matchHeap []Match
-
-func (h matchHeap) Len() int           { return len(h) }
-func (h matchHeap) Less(i, j int) bool { return matchWorse(h[i], h[j]) }
-func (h matchHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *matchHeap) Push(x any)        { *h = append(*h, x.(Match)) }
-func (h *matchHeap) Pop() any {
-	old := *h
-	n := len(old)
-	m := old[n-1]
-	*h = old[:n-1]
-	return m
-}
 
 // TopK returns the k closest matches, best first (score descending, index
 // ascending on ties), using a bounded heap instead of sorting every score.
@@ -662,8 +741,14 @@ func (h *matchHeap) Pop() any {
 // zero cosine is "no match", so the result holds min(k, matching docs)
 // entries rather than padding with arbitrary low-index corpus files.
 func (c *Corpus) TopK(text string, k int) []Match {
-	if k <= 0 {
-		return nil
-	}
 	return c.searchTopK(text, k, searchAuto)
+}
+
+// searchTopK scores the corpus as a one-segment snapshot: Corpus and
+// Snapshot share one query pass (see searchSegs). Tests force mode to
+// compare the pruned and exhaustive paths bit-for-bit.
+func (c *Corpus) searchTopK(text string, k, mode int) []Match {
+	seg := Segment{c: c}
+	segs := [1]snapSeg{{seg: &seg, live: len(c.names)}}
+	return searchSegs(segs[:], []int32{0}, text, k, mode, nil)
 }

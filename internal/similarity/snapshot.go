@@ -21,7 +21,8 @@ import (
 // index — is identical across any segmentation or merge state.
 type Snapshot struct {
 	segs  []snapSeg
-	total int // total live documents
+	order []int32 // segment ordinals, largest live count first (see searchSegs)
+	total int     // total live documents
 }
 
 // snapSeg is one segment's read-side state inside a snapshot.
@@ -66,6 +67,11 @@ func newSnapshot(segs []*Segment, deads [][]uint64) *Snapshot {
 		}
 		s.total += ss.live
 	}
+	s.order = make([]int32, len(segs))
+	for i := range s.order {
+		s.order[i] = int32(i)
+	}
+	slices.SortStableFunc(s.order, func(a, b int32) int { return s.segs[b].live - s.segs[a].live })
 	return s
 }
 
@@ -155,85 +161,103 @@ func (s *Snapshot) Name(i int) string {
 
 // Best returns the closest live document to the query text, or
 // Match{Name: "", Index: -1, Score: 0} when nothing scores above zero.
-// Each segment runs the exact block-max scorer with its tombstone bitmap;
-// candidates merge on (score descending, global index ascending) — the
-// same tie rule as a single corpus, made consistent by the global
-// live-rank indexing.
+// Ties resolve to the lowest global index, exactly as in a single-segment
+// full rebuild of the live documents.
 //
 //freehw:hotpath
 func (s *Snapshot) Best(text string) Match {
-	if len(s.segs) == 1 && s.segs[0].dead == nil {
-		// Single segment, no tombstones: the pre-segmentation fast path.
-		return s.segs[0].seg.c.Best(text)
+	var buf [1]Match
+	if ms := searchSegs(s.segs, s.order, text, 1, searchAuto, buf[:0]); len(ms) > 0 {
+		return ms[0]
 	}
-	best := Match{Index: -1}
-	for si := range s.segs {
-		ss := &s.segs[si]
-		if ss.live == 0 {
-			continue
-		}
-		ms := ss.seg.c.searchTopKDead(text, 1, searchAuto, ss.dead)
-		if len(ms) == 0 {
-			continue
-		}
-		m := ms[0]
-		m.Index = ss.offset + ss.liveRank(int32(m.Index))
-		if best.Index < 0 || m.Score > best.Score {
-			best = m
-		}
-	}
-	return best
+	return Match{Index: -1}
 }
 
 // TopK returns the k closest live matches, best first (score descending,
 // index ascending on ties). Only documents sharing at least one term with
-// the query qualify — identical semantics to Corpus.TopK.
+// the query qualify: a zero cosine is "no match", so the result holds
+// min(k, matching docs) entries rather than padding with arbitrary
+// low-index documents.
 //
 //freehw:hotpath
 func (s *Snapshot) TopK(text string, k int) []Match {
-	if k <= 0 || s.total == 0 {
-		return nil
+	return searchSegs(s.segs, s.order, text, k, searchAuto, nil)
+}
+
+// searchSegs is the one query pass behind every Best and TopK, appending
+// the top k matches to dst, best first. The query is tokenized and
+// counted once; each segment then only binds its distinct terms to its
+// own dictionary and runs the exact per-segment engine (searchSegment)
+// with its tombstone bitmap.
+//
+// Segments are visited in order — largest live count first — and the
+// running k-th best score is carried from segment to segment, as
+// Lucene's minimum competitive score is: a later segment prunes against
+// it, or is skipped outright when its whole bound falls strictly below.
+// Visiting out of ordinal order is exact because candidates merge on
+// (score descending, global index ascending) — the same total order a
+// single corpus's heap keeps — and pruning is strict: a document that
+// ties the threshold is always scored, so a tie in a small early segment
+// still beats the same score at a higher global index. Global indices are
+// live ranks (see Snapshot), so every document's index, and therefore
+// every tie, is the full rebuild's.
+func searchSegs(segs []snapSeg, order []int32, text string, k, mode int, dst []Match) []Match {
+	if k <= 0 {
+		return dst
 	}
-	if len(s.segs) == 1 && s.segs[0].dead == nil {
-		return s.segs[0].seg.c.TopK(text, k)
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
+	q := &sc.q
+	q.resolve(text)
+	if q.norm == 0 {
+		return dst
 	}
-	var all []Match
-	for si := range s.segs {
-		ss := &s.segs[si]
+	statsOn := pruneStatsOn.Load()
+	top := sc.top[:0]
+	for _, si := range order {
+		ss := &segs[si]
 		if ss.live == 0 {
 			continue
 		}
-		ms := ss.seg.c.searchTopKDead(text, k, searchAuto, ss.dead)
-		for _, m := range ms {
-			m.Index = ss.offset + ss.liveRank(int32(m.Index))
-			all = append(all, m)
+		c := ss.seg.c
+		qnorm, known := q.bind(c)
+		if !known {
+			continue
 		}
-	}
-	// Per-segment lists carry exact scores (bit-identical to the full
-	// rebuild's), so a plain sort on (score desc, index asc) reproduces
-	// the single-corpus heap order exactly.
-	slices.SortFunc(all, func(a, b Match) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
+		floor := -1.0
+		if len(top) == k {
+			floor = top[0].Score
+			// Skip the segment before any bigram lookup when even the
+			// binding's bound cannot reach the k-th best (the same strict,
+			// slack-guarded comparison searchSegment makes).
+			ub, terms := q.bound()
+			slack := float64(terms+32) * epsUlp
+			if ub*(1+slack) < floor*qnorm*(1-slack) {
+				continue
 			}
-			return 1
 		}
-		return a.Index - b.Index
-	})
-	if len(all) > k {
-		all = all[:k]
+		qts := q.qterms(c, sc.qts)
+		sc.qts = qts
+		for _, m := range c.searchSegment(sc, qts, qnorm, k, mode, ss.dead, floor, statsOn) {
+			m.Index = ss.offset + ss.liveRank(int32(m.Index))
+			pushMatch(&top, k, m)
+		}
 	}
-	return all
+	base := len(dst)
+	dst = slices.Grow(dst, len(top))[:base+len(top)]
+	for i := len(dst) - 1; i >= base; i-- {
+		dst[i] = popMatch(&top)
+	}
+	sc.top = top
+	return dst
 }
 
 // BestBatch scores a batch of queries in one pass over the snapshot:
 // identical texts are deduplicated — generation pipelines resample the
 // same candidate, and every duplicate shares one scoring — and the
 // distinct queries fan out across at most workers goroutines (<= 0 means
-// GOMAXPROCS). Each query resolves against the dictionary once and runs
-// the exact Best accumulator walk, so results are byte-identical to
-// calling Best per text, in input order.
+// GOMAXPROCS). Each distinct query makes one Best pass, so results are
+// byte-identical to calling Best per text, in input order.
 func (s *Snapshot) BestBatch(workers int, texts []string) []Match {
 	if len(texts) == 0 {
 		return nil
