@@ -246,7 +246,7 @@ func BenchmarkCurationPipeline(b *testing.B) {
 // cache disabled: every iteration recomputes every per-file analysis, so
 // this isolates the per-file compute — the QuickCheck syntax pre-check
 // with its parser fallback, the single-pass license scans, the batched
-// MinHash kernel, and sharded LSH insertion — from the cache win (compare
+// MinHash kernel, and LSH insertion — from the cache win (compare
 // against BenchmarkCurationPipeline).
 func BenchmarkCurationPipelineCold(b *testing.B) {
 	e, _ := benchEnv(b)

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	freeset-curate [-scale 0.5] [-seed 1] [-out dir] [-rate 0]
-//	               [-shards 0] [-no-cache] [-cache-budget 0] [-repeat 1]
+//	               [-no-cache] [-cache-budget 0] [-repeat 1]
 package main
 
 import (
@@ -32,7 +32,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "world seed")
 		out     = flag.String("out", "", "directory to write the curated dataset into")
 		rate    = flag.Int("rate", 0, "simulated API rate limit (requests per 50ms; 0 = off)")
-		shards  = flag.Int("shards", 0, "LSH dedup shard count (0 = one per core)")
 		noCache = flag.Bool("no-cache", false, "disable the content-hash verdict cache")
 		budget  = flag.Int64("cache-budget", 0, "verdict cache byte budget (segmented-LRU eviction; 0 = unbounded)")
 		repeat  = flag.Int("repeat", 1, "re-run the FreeSet funnel n times (warm-cache timing)")
@@ -43,7 +42,6 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	cfg.GitRateLimit = *rate
-	cfg.LSHShards = *shards
 	cfg.NoCache = *noCache
 	cfg.CacheBudget = *budget
 	e, err := core.New(cfg)
@@ -55,7 +53,6 @@ func main() {
 
 	for r := 1; r < *repeat; r++ {
 		opt := curation.FreeSetOptions()
-		opt.Shards = *shards
 		opt.NoCache = *noCache
 		opt.CacheBudget = *budget
 		start := time.Now()

@@ -42,9 +42,6 @@ type Config struct {
 	// Workers bounds concurrency everywhere (0 = GOMAXPROCS). Every result
 	// is identical for any worker count; see the determinism tests.
 	Workers int
-	// LSHShards is the curation dedup index's shard count (0 = one per
-	// core). Every result is identical for any shard count.
-	LSHShards int
 	// NoCache disables the process-wide content-hash verdict cache during
 	// curation. Results are identical either way; repeated experiments
 	// over the same world are much faster with the cache on.
@@ -151,7 +148,6 @@ func New(cfg Config) (*Experiment, error) {
 	funnels := par.Map(outerWorkers, len(funnelOpts), func(i int) *curation.Result {
 		opt := funnelOpts[i]
 		opt.Workers = innerWorkers
-		opt.Shards = cfg.LSHShards
 		res, err := curation.RunExtracted(ex, opt)
 		if err != nil {
 			// The options carry no cache overrides, so this cannot happen.

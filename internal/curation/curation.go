@@ -4,16 +4,16 @@
 // per-file copyright screening → syntax check → FreeSet.
 //
 // The funnel is organized around an Extraction: a scrape's Verilog files
-// with lazily memoized per-file analyses (shingles + MinHash signature,
+// with lazily memoized per-file analyses (shingles + LSH band hashes,
 // header/body copyright scans, syntax verdict). The analyses live in a
 // content-hash keyed vcache store, so one Extraction can feed several
 // funnel variants — FreeSet, the VeriGen-style comparison corpus, the
 // license-only ablation — without recomputing any per-file work, and
 // repeated curation runs over overlapping corpora skip the per-file work
-// entirely. Every per-file stage fans out across CPUs, de-duplication
-// inserts through a sharded LSH index, and order-sensitive aggregation
-// stays sequential, keeping outputs byte-identical to a serial run at any
-// worker/shard count and any cache temperature.
+// entirely. Every per-file stage fans out across CPUs, while
+// de-duplication inserts into its LSH index and order-sensitive
+// aggregation stays sequential, keeping outputs byte-identical to a serial
+// run at any worker count and any cache temperature.
 package curation
 
 import (
@@ -51,15 +51,16 @@ type StageMask struct {
 }
 
 // Stages composes the funnel's pipeline stages for a mask: the paper's
-// four stages in Figure 1 order, minus the skipped ones. dopt and shards
-// configure the dedup stage (see Options.Shards).
-func (m StageMask) Stages(dopt dedup.Options, shards int) []pipeline.Stage {
+// four stages in Figure 1 order, minus the skipped ones. dopt configures
+// the dedup stage. The int parameter is ignored: it was the LSH shard
+// count, and stays only so existing callers that pass one keep compiling.
+func (m StageMask) Stages(dopt dedup.Options, _ int) []pipeline.Stage {
 	var stages []pipeline.Stage
 	if !m.SkipLicense {
 		stages = append(stages, pipeline.License())
 	}
 	if !m.SkipDedup {
-		stages = append(stages, pipeline.Dedup(dopt, shards))
+		stages = append(stages, pipeline.Dedup(dopt))
 	}
 	if !m.SkipCopyright {
 		stages = append(stages, pipeline.Copyright())
@@ -81,9 +82,6 @@ type Options struct {
 	// Workers bounds per-file concurrency (0 = GOMAXPROCS). Any worker
 	// count produces the same Result.
 	Workers int
-	// Shards is the LSH shard count for the dedup index (0 = one per
-	// core). Any shard count produces the same Result.
-	Shards int
 	// Cache overrides the verdict cache Run extracts through; nil selects
 	// the process-wide vcache.Shared store for the dedup options. An
 	// Extraction's cache is fixed at Extract time, so RunExtracted cannot
@@ -390,7 +388,7 @@ func RunExtracted(ex *Extraction, opt Options) (*Result, error) {
 			Entry:    f.entry,
 		}
 	}
-	rep := pipeline.Execute(workers, opt.Mask.Stages(ex.dedupOpt, opt.Shards), cands)
+	rep := pipeline.Execute(workers, opt.Mask.Stages(ex.dedupOpt, 0), cands)
 
 	// Funnel counts derive from the stage timings (candidates in/kept),
 	// byte-identical to the pre-pipeline accounting.

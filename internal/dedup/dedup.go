@@ -9,8 +9,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"freehw/internal/par"
 )
 
 // FNV-1a 64-bit parameters. Shingle and band hashing inline the algorithm
@@ -149,9 +147,6 @@ func NewMinHasher(n int, seed uint64) *MinHasher {
 	return m
 }
 
-// N returns the signature length.
-func (m *MinHasher) N() int { return len(m.a) }
-
 // Sign is implemented in sign.go (register-blocked batched kernel).
 
 // SigSimilarity estimates Jaccard similarity from two signatures.
@@ -204,13 +199,13 @@ func (opt Options) normalize() Options {
 	return opt
 }
 
-// Prepared is the per-document precomputation an Index consumes: shingles,
-// MinHash signature, and per-band LSH hashes. Preparing documents is
-// side-effect free, so a batch can be prepared concurrently and fed to a
-// sequential Index insert that preserves first-seen-kept order.
+// Prepared is the per-document precomputation an Index consumes: shingles
+// and the per-band LSH hashes of their MinHash signature. Preparing
+// documents is side-effect free, so a batch can be prepared concurrently
+// and fed to a sequential Index insert that preserves first-seen-kept
+// order.
 type Prepared struct {
 	Shingles ShingleSet
-	Sig      Signature
 	Bands    []uint64
 }
 
@@ -221,38 +216,24 @@ type Preparer struct {
 	bands    int
 	rows     int
 	shingleK int
-	workers  int
 }
 
 // NewPreparer builds a Preparer for opt.
 func NewPreparer(opt Options) *Preparer {
-	return NewPreparerWorkers(opt, 1)
-}
-
-// NewPreparerWorkers builds a Preparer that may fan the signing of very
-// large documents (>= parallelSignMin shingles) across workers (<= 0
-// resolves to GOMAXPROCS, matching every other worker knob). Output is
-// byte-identical to NewPreparer's at any worker count.
-func NewPreparerWorkers(opt Options, workers int) *Preparer {
 	opt = opt.normalize()
 	return &Preparer{
 		hasher:   NewMinHasher(opt.Permutations, opt.Seed+0x5eed),
 		bands:    opt.Bands,
 		rows:     opt.Permutations / opt.Bands,
 		shingleK: opt.ShingleK,
-		workers:  par.Workers(workers),
 	}
 }
 
-// Prepare computes a document's shingles, signature, and band hashes.
+// Prepare computes a document's shingles and the band hashes of their
+// MinHash signature.
 func (p *Preparer) Prepare(text string) Prepared {
 	sh := Shingles(text, p.shingleK)
-	var sig Signature
-	if p.workers > 1 && len(sh) >= parallelSignMin {
-		sig = p.hasher.SignParallel(sh, p.workers)
-	} else {
-		sig = p.hasher.Sign(sh)
-	}
+	sig := p.hasher.Sign(sh)
 	bands := make([]uint64, p.bands)
 	for b := 0; b < p.bands; b++ {
 		h := uint64(fnvOffset64)
@@ -265,7 +246,7 @@ func (p *Preparer) Prepare(text string) Prepared {
 		}
 		bands[b] = h
 	}
-	return Prepared{Shingles: sh, Sig: sig, Bands: bands}
+	return Prepared{Shingles: sh, Bands: bands}
 }
 
 // Index is a banded LSH index over MinHash signatures. Two documents become
@@ -280,10 +261,8 @@ type Index struct {
 }
 
 type doc struct {
-	id       int
 	key      string
 	shingles ShingleSet
-	sig      Signature
 }
 
 // Options configures an Index.
@@ -334,7 +313,7 @@ func (x *Index) Add(key, text string) AddResult {
 	return x.AddPrepared(key, x.prep.Prepare(text))
 }
 
-// AddPrepared offers a document whose shingles/signature/band hashes were
+// AddPrepared offers a document whose shingles and band hashes were
 // computed by a compatible Preparer (same Options). Insertions are strictly
 // ordered: the first document offered wins over later duplicates.
 func (x *Index) AddPrepared(key string, p Prepared) AddResult {
@@ -358,7 +337,7 @@ func (x *Index) AddPrepared(key string, p Prepared) AddResult {
 		return AddResult{Unique: false, DupOfKey: x.docs[bestID].key, Similarity: bestSim}
 	}
 	id := len(x.docs)
-	x.docs = append(x.docs, doc{id: id, key: key, shingles: p.Shingles, sig: p.Sig})
+	x.docs = append(x.docs, doc{key: key, shingles: p.Shingles})
 	for b := range x.buckets {
 		x.buckets[b][p.Bands[b]] = append(x.buckets[b][p.Bands[b]], id)
 	}
@@ -391,20 +370,4 @@ func Dedup(texts []string, opt Options) []int {
 // the index's shingling parameters.
 func (x *Index) PairSimilarity(a, b string) float64 {
 	return Jaccard(Shingles(a, x.prep.shingleK), Shingles(b, x.prep.shingleK))
-}
-
-// TopBucketSizes reports the largest LSH bucket sizes (diagnostics for the
-// curation report).
-func (x *Index) TopBucketSizes(n int) []int {
-	var sizes []int
-	for _, band := range x.buckets {
-		for _, ids := range band {
-			sizes = append(sizes, len(ids))
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	if len(sizes) > n {
-		sizes = sizes[:n]
-	}
-	return sizes
 }

@@ -3,6 +3,7 @@ package dedup
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -176,6 +177,126 @@ func TestIndexSelfDuplicateProperty(t *testing.T) {
 	}
 }
 
+// corpusWithDups builds a synthetic corpus with exact duplicates, near
+// duplicates (including duplicates-of-duplicates, which exercise the
+// "only kept documents are candidates" rule), and unique documents.
+func corpusWithDups(seed int64, n int) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var out []string
+	fresh := func() []string {
+		words := make([]string, 120)
+		for i := range words {
+			words[i] = fmt.Sprintf("w%04d", rng.Intn(3000))
+		}
+		return words
+	}
+	var bases [][]string
+	for len(out) < n {
+		switch {
+		case len(bases) == 0 || rng.Float64() < 0.4:
+			b := fresh()
+			bases = append(bases, b)
+			out = append(out, strings.Join(b, " "))
+		case rng.Float64() < 0.5:
+			// Exact duplicate of a prior document.
+			out = append(out, out[rng.Intn(len(out))])
+		default:
+			// Near duplicate of a prior base, mutation rate around the
+			// threshold so some land just above and some just below.
+			b := bases[rng.Intn(len(bases))]
+			m := make([]string, len(b))
+			copy(m, b)
+			for k := 0; k < 1+rng.Intn(8); k++ {
+				m[rng.Intn(len(m))] = fmt.Sprintf("mut%05d", rng.Intn(99999))
+			}
+			bases = append(bases, m)
+			out = append(out, strings.Join(m, " "))
+		}
+	}
+	return out
+}
+
+// oracleDedup is the LSH dedup rule by brute force: each document scans
+// every kept document in order, a kept document is a candidate when the
+// two share a band hash, and the document is a duplicate when its best
+// exact Jaccard over the candidates reaches the threshold.
+func oracleDedup(preps []Prepared, threshold float64) []AddResult {
+	var kept []Prepared
+	out := make([]AddResult, len(preps))
+	for i, p := range preps {
+		best := 0.0
+		for _, k := range kept {
+			shared := false
+			for b := range p.Bands {
+				shared = shared || p.Bands[b] == k.Bands[b]
+			}
+			if !shared {
+				continue
+			}
+			if sim := Jaccard(p.Shingles, k.Shingles); sim > best {
+				best = sim
+			}
+		}
+		if best >= threshold {
+			out[i] = AddResult{Similarity: best}
+			continue
+		}
+		kept = append(kept, p)
+		out[i] = AddResult{Unique: true}
+	}
+	return out
+}
+
+// Index keeps exactly the documents the brute-force band oracle keeps, and
+// reports the same best similarity for each duplicate, on corpora dense in
+// duplicates-of-duplicates and on a run of duplicates of one kept document.
+func TestIndexMatchesBandOracle(t *testing.T) {
+	type input struct {
+		name  string
+		texts []string
+	}
+	var inputs []input
+	for _, seed := range []int64{1, 2, 3} {
+		inputs = append(inputs, input{fmt.Sprintf("seed %d", seed), corpusWithDups(seed, 700)})
+	}
+	text := strings.Repeat("some padded verilog-ish words here ", 30)
+	allDups := []string{text, text, text, text}
+	inputs = append(inputs, input{"all duplicates of one", allDups})
+
+	opt := Options{Seed: 1, Threshold: 0.85}
+	for _, in := range inputs {
+		name, texts := in.name, in.texts
+		idx := NewIndex(opt)
+		prep := idx.Preparer()
+		preps := make([]Prepared, len(texts))
+		var wantKeys []string
+		for i, tx := range texts {
+			preps[i] = prep.Prepare(tx)
+		}
+		want := oracleDedup(preps, idx.Threshold())
+		for i := range texts {
+			key := fmt.Sprintf("doc%04d", i)
+			got := idx.AddPrepared(key, preps[i])
+			if got.Unique != want[i].Unique || got.Similarity != want[i].Similarity {
+				t.Fatalf("%s: doc %d = %+v, oracle says unique=%v similarity=%v",
+					name, i, got, want[i].Unique, want[i].Similarity)
+			}
+			if !got.Unique && got.DupOfKey == "" {
+				t.Fatalf("%s: doc %d is a duplicate of no key", name, i)
+			}
+			if want[i].Unique {
+				wantKeys = append(wantKeys, key)
+			}
+		}
+		if !reflect.DeepEqual(idx.Keys(), wantKeys) {
+			t.Fatalf("%s: kept keys %v, oracle keeps %v", name, idx.Keys(), wantKeys)
+		}
+	}
+	if got := Dedup(allDups, opt); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("all duplicates of one: kept %v, want [0]", got)
+	}
+}
+
 func BenchmarkIndexAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	texts := make([]string, 256)
@@ -186,5 +307,30 @@ func BenchmarkIndexAdd(b *testing.B) {
 	idx := NewIndex(Options{Seed: 1})
 	for i := 0; i < b.N; i++ {
 		idx.Add("k", texts[i%len(texts)])
+	}
+}
+
+func benchPrepared(b *testing.B, n int) ([]string, []Prepared, Options) {
+	b.Helper()
+	texts := corpusWithDups(42, n)
+	opt := Options{Seed: 1}
+	prep := NewPreparer(opt)
+	keys := make([]string, len(texts))
+	preps := make([]Prepared, len(texts))
+	for i, tx := range texts {
+		keys[i] = fmt.Sprintf("doc%d", i)
+		preps[i] = prep.Prepare(tx)
+	}
+	return keys, preps, opt
+}
+
+func BenchmarkSequentialInsert(b *testing.B) {
+	keys, preps, opt := benchPrepared(b, 2000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := NewIndex(opt)
+		for j := range keys {
+			idx.AddPrepared(keys[j], preps[j])
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func TestPaperFunnelVerdicts(t *testing.T) {
 		cand("protected.v", protectedMod, true),
 		cand("broken.v", brokenMod, true),
 	}
-	rep := Execute(2, Paper(dopt(), 0), cands)
+	rep := Execute(2, Paper(dopt()), cands)
 	if len(rep.Verdicts) != len(cands) {
 		t.Fatalf("got %d verdicts for %d candidates", len(rep.Verdicts), len(cands))
 	}
@@ -135,7 +136,7 @@ func TestExecuteDeterminism(t *testing.T) {
 	var base *Report
 	for _, workers := range []int{1, 2, 8} {
 		for _, store := range []*vcache.Store{nil, vcache.NewStore(dopt())} {
-			rep := Execute(workers, Paper(dopt(), workers), build(store))
+			rep := Execute(workers, Paper(dopt()), build(store))
 			for i := range rep.Stages {
 				rep.Stages[i].Duration = 0
 			}
@@ -191,15 +192,60 @@ func TestSimilarityStage(t *testing.T) {
 // A lone candidate through the dedup stage is trivially unique; an
 // executed empty pipeline accepts everything without stages.
 func TestDegenerateExecutions(t *testing.T) {
-	if out := Dedup(dopt(), 0).Evaluate(cand("solo.v", cleanMod, true)); out.Reject {
+	if out := Dedup(dopt()).Evaluate(cand("solo.v", cleanMod, true)); out.Reject {
 		t.Fatalf("lone dedup candidate rejected: %+v", out)
 	}
 	rep := Execute(1, nil, []*Candidate{cand("a.v", brokenMod, false)})
 	if !rep.Verdicts[0].Accept || len(rep.Stages) != 0 {
 		t.Fatalf("stageless execution = %+v", rep)
 	}
-	rep = Execute(4, Paper(dopt(), 0), nil)
+	rep = Execute(4, Paper(dopt()), nil)
 	if len(rep.Verdicts) != 0 || len(rep.Stages) != 4 {
 		t.Fatalf("empty-candidate execution = %+v", rep)
+	}
+}
+
+// tieInputs builds [A, 255 unique fillers, B, C] for content variant v: C is
+// a 104-word core S, A is S plus ten words X and B is S plus ten other
+// words Y, so J(C,A) = J(C,B) ≈ 0.91 while J(A,B) ≈ 0.83 keeps B. C ties
+// exactly between two kept documents that sit 256 offers apart.
+func tieInputs(v int) []*Candidate {
+	words := func(prefix string, n int) string {
+		ws := make([]string, n)
+		for i := range ws {
+			ws[i] = fmt.Sprintf("%s%d_%d", prefix, v, i)
+		}
+		return strings.Join(ws, " ")
+	}
+	core := words("s", 104)
+	cands := []*Candidate{cand("A", core+" "+words("x", 10), true)}
+	for i := 0; i < 255; i++ {
+		cands = append(cands, cand(fmt.Sprintf("fill%03d", i), words(fmt.Sprintf("f%d_", i), 20), true))
+	}
+	return append(cands,
+		cand("B", core+" "+words("y", 10), true),
+		cand("C", core, true))
+}
+
+// Dedup reasons name the same retained document at any worker count, even
+// when a candidate ties exactly between two kept documents.
+func TestDedupReasonsIndependentOfWorkers(t *testing.T) {
+	for v := 0; v < 16; v++ {
+		var base *Report
+		for _, workers := range []int{1, 2, 8} {
+			rep := Execute(workers, []Stage{Dedup(dopt())}, tieInputs(v))
+			if c := rep.Verdicts[len(rep.Verdicts)-1]; c.Accept {
+				t.Fatalf("variant %d workers=%d: C kept, want a duplicate of A or B", v, workers)
+			}
+			if base == nil {
+				base = rep
+				continue
+			}
+			if !reflect.DeepEqual(base.Verdicts, rep.Verdicts) {
+				last := len(rep.Verdicts) - 1
+				t.Fatalf("variant %d: workers=1 rejects C with %v, workers=%d with %v",
+					v, base.Verdicts[last].Reasons, workers, rep.Verdicts[last].Reasons)
+			}
+		}
 	}
 }

@@ -40,9 +40,8 @@ func License() Stage { return licenseStage{} }
 // reason naming the retained key. Verdicts depend on candidate order, so
 // the stage is a BatchStage; a fresh index is built per execution.
 type dedupStage struct {
-	opt    dedup.Options
-	shards int
-	prep   *dedup.Preparer
+	opt  dedup.Options
+	prep *dedup.Preparer
 }
 
 func (d *dedupStage) Name() string { return StageDedup }
@@ -55,36 +54,28 @@ func (d *dedupStage) Evaluate(c *Candidate) Outcome {
 
 func (d *dedupStage) EvaluateBatch(workers int, cands []*Candidate) []Outcome {
 	// Shingle + MinHash + band hashes fan out (memoized by content hash);
-	// the sharded LSH index then ingests in order through its deterministic
-	// wave insertion, so the first-seen document is always the one retained
-	// at any shard/worker count.
+	// the LSH index then ingests in offer order, so the first-seen document
+	// is always the one retained and every reason is independent of the
+	// worker count.
 	par.ForEach(workers, len(cands), func(i int) {
 		cands[i].memo().Prepared(cands[i].Content, d.prep)
 	})
-	keys := make([]string, len(cands))
-	preps := make([]dedup.Prepared, len(cands))
-	for i, c := range cands {
-		keys[i] = c.Key
-		preps[i] = c.Entry.Prepared(c.Content, d.prep)
-	}
-	idx := dedup.NewShardedIndex(d.opt, d.shards, workers)
-	results := idx.AddAll(keys, preps)
+	idx := dedup.NewIndex(d.opt)
 	outs := make([]Outcome, len(cands))
-	for i, r := range results {
-		if !r.Unique {
+	for i, c := range cands {
+		if r := idx.AddPrepared(c.Key, c.Entry.Prepared(c.Content, d.prep)); !r.Unique {
 			outs[i] = Outcome{Reject: true, Reasons: []string{"dedup:duplicate-of:" + r.DupOfKey}}
 		}
 	}
 	return outs
 }
 
-// Dedup returns the de-duplication stage for the given parameters. shards
-// is the LSH shard count (0 = one per core); any shard count produces the
-// same verdicts. Candidates' cached dedup artifacts must have been
-// computed under the same artifact-relevant options (vcache enforces this
-// by keying stores on them).
-func Dedup(opt dedup.Options, shards int) Stage {
-	return &dedupStage{opt: opt, shards: shards, prep: dedup.NewPreparer(opt)}
+// Dedup returns the de-duplication stage for the given parameters.
+// Candidates' cached dedup artifacts must have been computed under the
+// same artifact-relevant options (vcache enforces this by keying stores on
+// them).
+func Dedup(opt dedup.Options) Stage {
+	return &dedupStage{opt: opt, prep: dedup.NewPreparer(opt)}
 }
 
 // copyrightStage rejects files the per-file copyright screen flags
@@ -179,6 +170,6 @@ func Similarity(snap *similarity.Snapshot, threshold float64) Stage {
 
 // Paper returns the paper's four-stage funnel in Figure 1 order: license
 // gate, de-duplication, copyright screen, syntax filter.
-func Paper(dopt dedup.Options, shards int) []Stage {
-	return []Stage{License(), Dedup(dopt, shards), Copyright(), Syntax()}
+func Paper(dopt dedup.Options) []Stage {
+	return []Stage{License(), Dedup(dopt), Copyright(), Syntax()}
 }

@@ -1569,7 +1569,7 @@ func (s *Server) stagesFor(names []string, st *corpusState, threshold float64) (
 		case pipeline.StageLicense:
 			stages = append(stages, pipeline.License())
 		case pipeline.StageDedup:
-			stages = append(stages, pipeline.Dedup(s.cfg.Curation.Dedup, s.cfg.Curation.Shards))
+			stages = append(stages, pipeline.Dedup(s.cfg.Curation.Dedup))
 		case pipeline.StageCopyright:
 			stages = append(stages, pipeline.Copyright())
 		case pipeline.StageSyntax:

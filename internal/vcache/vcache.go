@@ -153,7 +153,7 @@ const slotOverhead = 512
 
 // entryCost approximates an entry's resident bytes. Cached artifacts scale
 // with the content (the shingle set holds one hash per unique shingle, the
-// signature and band hashes are fixed, scans are small), so content length
+// band hashes are fixed, scans are small), so content length
 // plus a fixed overhead is a faithful — deliberately approximate — account.
 func entryCost(contentLen int) int64 { return slotOverhead + int64(contentLen) }
 
